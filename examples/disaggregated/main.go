@@ -130,9 +130,9 @@ func main() {
 	if err := db.CompactRange(); err != nil {
 		log.Fatal(err)
 	}
-	jobs, bytesIn, bytesOut := worker.Stats()
+	ws := orch.WorkerStats("compaction-worker-1")
 	fmt.Printf("offloaded %d compaction job(s) to the storage-side worker (%.1f MiB in, %.1f MiB out)\n",
-		jobs, float64(bytesIn)/(1<<20), float64(bytesOut)/(1<<20))
+		ws.Jobs, float64(ws.BytesRead)/(1<<20), float64(ws.BytesWritten)/(1<<20))
 
 	v, err := db.Get([]byte("sensor/012345"))
 	if err != nil {

@@ -119,9 +119,9 @@ func main() {
 	}
 	fmt.Printf("ingest + full compaction: %v\n", time.Since(start).Round(time.Millisecond))
 
-	jobs, bytesIn, bytesOut := worker.Stats()
+	ws := orch.WorkerStats("worker-1")
 	fmt.Printf("offloaded worker executed %d jobs, read %.1f MiB, wrote %.1f MiB locally\n",
-		jobs, float64(bytesIn)/(1<<20), float64(bytesOut)/(1<<20))
+		ws.Jobs, float64(ws.BytesRead)/(1<<20), float64(ws.BytesWritten)/(1<<20))
 
 	// Compaction re-encrypted everything under worker-issued DEKs; the
 	// compute node resolves them through DEK-IDs transparently.

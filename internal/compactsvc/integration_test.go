@@ -119,12 +119,12 @@ func TestOffloadedCompactionEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	jobs, bytesIn, bytesOut := worker.Stats()
-	if jobs == 0 {
+	ws := orch.WorkerStats("compaction-worker-1")
+	if ws.Jobs == 0 {
 		t.Fatal("no compaction jobs reached the offloaded worker")
 	}
-	if bytesIn == 0 || bytesOut == 0 {
-		t.Fatalf("worker moved no bytes (in=%d out=%d)", bytesIn, bytesOut)
+	if ws.BytesRead == 0 || ws.BytesWritten == 0 {
+		t.Fatalf("worker moved no bytes (in=%d out=%d)", ws.BytesRead, ws.BytesWritten)
 	}
 
 	// The compute node must read data the worker re-encrypted under fresh
@@ -205,8 +205,7 @@ func TestOffloadedCompactionPlaintext(t *testing.T) {
 	if err := db.CompactRange(); err != nil {
 		t.Fatal(err)
 	}
-	jobs, _, _ := worker.Stats()
-	if jobs == 0 {
+	if orch.WorkerStats("worker-1").Jobs == 0 {
 		t.Fatal("no jobs offloaded")
 	}
 	if _, err := db.Get([]byte("k000001")); err != nil {
@@ -275,8 +274,57 @@ func TestEngineHaltsOnLostJob(t *testing.T) {
 	if v, err := db.Get([]byte("post-loss")); err != nil || string(v) != "ok" {
 		t.Fatalf("after recovery: %q, %v", v, err)
 	}
-	jobs, _, _ := worker.Stats()
-	if jobs == 0 {
+	if orch.WorkerStats("late-worker").Jobs == 0 {
 		t.Fatal("late worker executed no jobs")
+	}
+}
+
+// TestOffloadedJobManyOutputs runs a whole-tree compaction that writes
+// more output files than a fixed 256-number reservation leaves one
+// attempt (85 of them, split over three attempts). The reservation must
+// grow with the job's input bytes.
+func TestOffloadedJobManyOutputs(t *testing.T) {
+	fs := vfs.NewMem()
+	orch, err := compactsvc.NewOrchestrator(fs, "127.0.0.1:0", compactsvc.OrchestratorConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer orch.Close()
+	worker := compactsvc.NewWorker(fs, lsm.NopWrapper{}, "worker-1", orch.Addr(),
+		compactsvc.WorkerConfig{PollEvery: 2 * time.Millisecond})
+	defer worker.Close()
+
+	db, err := lsm.Open("db", lsm.Options{
+		FS:                  fs,
+		MemtableSize:        256 << 10,
+		TargetFileSize:      2 << 10,
+		BlockSize:           1 << 10,
+		L0CompactionTrigger: 100, // only manual compaction offloads jobs
+		Compactor:           orch,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	const n = 4000
+	for i := 0; i < n; i++ {
+		if err := db.Put([]byte(fmt.Sprintf("k%06d", i)), []byte(fmt.Sprintf("value-%06d-%070d", i, i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.CompactRange(); err != nil {
+		t.Fatalf("CompactRange: %v", err)
+	}
+	if outputs := db.NumFilesAtLevel(6); outputs <= 85 {
+		t.Fatalf("job wrote %d outputs; the test needs more than 85", outputs)
+	}
+	if jobs := orch.WorkerStats("worker-1").Jobs; jobs != 1 {
+		t.Fatalf("worker ran %d jobs, want 1", jobs)
+	}
+	for i := 0; i < n; i += 97 {
+		k := fmt.Sprintf("k%06d", i)
+		if v, err := db.Get([]byte(k)); err != nil || string(v) != fmt.Sprintf("value-%06d-%070d", i, i) {
+			t.Fatalf("Get(%s) = %q, %v", k, v, err)
+		}
 	}
 }

@@ -58,6 +58,17 @@ type OrchestratorStats struct {
 	Leased         int // jobs currently claimed
 }
 
+// WorkerStats is one worker's tally, as the orchestrator recorded the
+// results it delivered. The orchestrator is the source of truth: a job's
+// result is counted before the engine's Compact call returns, so a caller
+// that has seen Compact return sees the job here too.
+type WorkerStats struct {
+	Jobs         int64 // results accepted
+	StaleJobs    int64 // results discarded because the lease had been revoked
+	BytesRead    int64 // input bytes of accepted jobs
+	BytesWritten int64 // output bytes of accepted jobs
+}
+
 type jobState uint8
 
 const (
@@ -107,6 +118,7 @@ type Orchestrator struct {
 	nextJob   uint64
 	nextLease uint64
 	stats     OrchestratorStats
+	workers   map[string]*WorkerStats
 	closed    bool
 	conns     map[net.Conn]struct{}
 	done      chan struct{}
@@ -122,13 +134,14 @@ func NewOrchestrator(fs vfs.FS, addr string, cfg OrchestratorConfig) (*Orchestra
 		return nil, fmt.Errorf("compactsvc: listen: %w", err)
 	}
 	o := &Orchestrator{
-		fs:     fs,
-		ln:     ln,
-		cfg:    cfg.withDefaults(),
-		jobs:   make(map[uint64]*job),
-		leases: make(map[uint64]leaseRec),
-		conns:  make(map[net.Conn]struct{}),
-		done:   make(chan struct{}),
+		fs:      fs,
+		ln:      ln,
+		cfg:     cfg.withDefaults(),
+		jobs:    make(map[uint64]*job),
+		leases:  make(map[uint64]leaseRec),
+		workers: make(map[string]*WorkerStats),
+		conns:   make(map[net.Conn]struct{}),
+		done:    make(chan struct{}),
 	}
 	o.wg.Add(2)
 	go o.acceptLoop()
@@ -154,6 +167,26 @@ func (o *Orchestrator) Stats() OrchestratorStats {
 		}
 	}
 	return s
+}
+
+// WorkerStats reports the tally of the worker that polls under name.
+func (o *Orchestrator) WorkerStats(name string) WorkerStats {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if ws := o.workers[name]; ws != nil {
+		return *ws
+	}
+	return WorkerStats{}
+}
+
+// workerLocked returns name's tally, creating it on first use. o.mu held.
+func (o *Orchestrator) workerLocked(name string) *WorkerStats {
+	ws := o.workers[name]
+	if ws == nil {
+		ws = &WorkerStats{}
+		o.workers[name] = ws
+	}
+	return ws
 }
 
 // Close stops the orchestrator. Jobs still in flight fail with
@@ -428,6 +461,7 @@ func (o *Orchestrator) complete(req *wireRequest) *wireResponse {
 	if !ok || j.state != stateLeased || j.lease != req.Lease {
 		rec, haveRec := o.leases[req.Lease]
 		o.stats.StaleCompletes++
+		o.workerLocked(req.Worker).StaleJobs++
 		o.mu.Unlock()
 		if haveRec && req.Err == "" {
 			o.sweep(rec)
@@ -437,6 +471,10 @@ func (o *Orchestrator) complete(req *wireRequest) *wireResponse {
 	if req.Err == "" && req.Result != nil {
 		j.res = *req.Result
 		delete(o.leases, j.lease)
+		ws := o.workerLocked(req.Worker)
+		ws.Jobs++
+		ws.BytesRead += j.res.BytesRead
+		ws.BytesWritten += j.res.BytesWritten
 		o.finishLocked(j, nil)
 		o.mu.Unlock()
 		return &wireResponse{}

@@ -168,9 +168,11 @@ func TestLeaseExpiryReclaimAndStaleComplete(t *testing.T) {
 	if st.Completed != 1 {
 		t.Fatalf("completed = %d, want 1", st.Completed)
 	}
-	wj, _, _ := w.Stats()
-	if wj != 1 {
+	if wj := orch.WorkerStats("healthy").Jobs; wj != 1 {
 		t.Fatalf("healthy worker jobs = %d, want 1", wj)
+	}
+	if st := orch.WorkerStats("doomed"); st.StaleJobs != 1 || st.Jobs != 0 {
+		t.Fatalf("doomed worker tally = %+v, want one stale result", st)
 	}
 }
 

@@ -59,12 +59,6 @@ type Worker struct {
 	enc    *json.Encoder
 	dec    *json.Decoder
 
-	mu       sync.Mutex
-	jobs     int64
-	bytesIn  int64
-	bytesOut int64
-	stale    int64
-
 	done chan struct{}
 	wg   sync.WaitGroup
 }
@@ -86,21 +80,6 @@ func NewWorker(fs vfs.FS, wrapper lsm.FileWrapper, name, addr string, cfg Worker
 	w.wg.Add(1)
 	go w.run()
 	return w
-}
-
-// Stats reports jobs executed and bytes moved by this worker.
-func (w *Worker) Stats() (jobs, bytesRead, bytesWritten int64) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.jobs, w.bytesIn, w.bytesOut
-}
-
-// StaleJobs reports results the orchestrator discarded because the lease
-// had been revoked (this worker was presumed dead).
-func (w *Worker) StaleJobs() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.stale
 }
 
 // Close stops the polling loop and waits for it — including any job still
@@ -172,32 +151,17 @@ func (w *Worker) execute(claim *wireResponse) {
 	}
 	// The lease outlives a connection blip, so retry the delivery a few
 	// times: losing a finished compaction to one dropped packet would waste
-	// the whole execution.
-	var resp *wireResponse
-	var sendErr error
+	// the whole execution. The Orchestrator tallies what it accepts (see
+	// Orchestrator.WorkerStats); the reply carries nothing more to record.
 	for attempt := 0; attempt < 3 && !w.stopped(); attempt++ {
 		if attempt > 0 {
 			metrics.Net.Retries.Add(1)
 			netretry.Sleep(netretry.Delay(attempt-1, w.cfg.BackoffBase, w.cfg.BackoffMax), w.done)
 		}
-		if resp, sendErr = w.call(req); sendErr == nil {
-			break
+		if _, sendErr := w.call(req); sendErr == nil {
+			return
 		}
 	}
-	if sendErr != nil || err != nil || resp == nil {
-		// resp is nil when Close raced the delivery loop out before any
-		// attempt: the worker died mid-job and the result is discarded.
-		return
-	}
-	w.mu.Lock()
-	if resp.Stale {
-		w.stale++
-	} else {
-		w.jobs++
-		w.bytesIn += res.BytesRead
-		w.bytesOut += res.BytesWritten
-	}
-	w.mu.Unlock()
 }
 
 // heartbeatLoop keeps the claim's lease alive while the job runs. Transport

@@ -316,3 +316,85 @@ func FuzzSealedOpen(f *testing.F) {
 		}
 	})
 }
+
+// countingFile counts the device reads made through it.
+type countingFile struct {
+	vfs.RandomAccessFile
+	reads int
+}
+
+func (c *countingFile) ReadAt(p []byte, off int64) (int, error) {
+	c.reads++
+	return c.RandomAccessFile.ReadAt(p, off)
+}
+
+// TestFileDigestReadsInWindows checks that FileDigest hashes the same tags
+// as TagChainDigest while reading the body in digestWindow-sized reads,
+// not one read per sealed block.
+func TestFileDigestReadsInWindows(t *testing.T) {
+	s, _ := newTestSealer(t)
+	rng := rand.New(rand.NewSource(13))
+	for _, size := range []int{0, 100, SealedBlockSize, 64 * SealedBlockSize, 64*SealedBlockSize + 1, 2<<20 + 123} {
+		payload := make([]byte, size)
+		rng.Read(payload)
+		body := sealToMem(t, s, payload)
+		want, err := TagChainDigest(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs := vfs.NewMem()
+		if err := vfs.WriteFile(fs, "f", body); err != nil {
+			t.Fatal(err)
+		}
+		f, err := fs.Open("f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cf := &countingFile{RandomAccessFile: f}
+		r, err := NewSealedReaderAt(cf, s, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := r.FileDigest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("plaintext %d B: FileDigest != TagChainDigest", size)
+		}
+		if wantReads := (len(body) + digestWindow - 1) / digestWindow; cf.reads != wantReads {
+			t.Fatalf("plaintext %d B (body %d B): %d device reads, want %d", size, len(body), cf.reads, wantReads)
+		}
+		r.Close()
+	}
+}
+
+// discardFile is a WritableFile that drops its data.
+type discardFile struct{}
+
+func (discardFile) Write(p []byte) (int, error) { return len(p), nil }
+func (discardFile) Sync() error                 { return nil }
+func (discardFile) Close() error                { return nil }
+
+// TestChunkedWriterAllocatesChunkOnce checks that filling a chunk through
+// small writes allocates no more than one write of the whole chunk: the
+// chunk buffer is allocated once at full size, not regrown by append.
+func TestChunkedWriterAllocatesChunkOnce(t *testing.T) {
+	s, _ := newTestSealer(t)
+	const chunk = 64 << 10
+	data := make([]byte, chunk)
+	perChunk := func(piece int) float64 {
+		w := NewChunkedSealedWriter(discardFile{}, s, chunk, 1)
+		return testing.AllocsPerRun(20, func() {
+			for n := 0; n < chunk; n += piece {
+				if _, err := w.Write(data[n : n+piece]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+	whole, small := perChunk(chunk), perChunk(4<<10)
+	if small > whole {
+		t.Fatalf("4 KiB writes: %.0f allocations per chunk, one %d B write: %.0f", small, chunk, whole)
+	}
+}

@@ -212,6 +212,11 @@ func (w *ChunkedWriter) Write(p []byte) (int, error) {
 	}
 	consumed := 0
 	for len(p) > 0 {
+		if w.cur == nil {
+			// A dispatched chunk keeps its buffer until it is sealed, so
+			// each chunk gets a new one, allocated once at full size.
+			w.cur = make([]byte, 0, w.chunkSize)
+		}
 		room := w.chunkSize - len(w.cur)
 		n := len(p)
 		if n > room {

@@ -502,20 +502,15 @@ func (e *compactionAbortedError) Unwrap() error { return e.err }
 // resulting version edit. The caller must have claimed the plan.
 func (d *DB) runCompactionPlan(plan *compactionPlan) error {
 	edit := &manifest.VersionEdit{}
+	var inputBytes uint64
 	for _, in := range plan.inputs {
 		for _, f := range in.Files {
 			edit.Deleted = append(edit.Deleted, manifest.DeletedFile{Level: in.Level, FileNum: f.FileNum})
+			inputBytes += f.Size
 		}
 	}
 
 	if !plan.fifoOnly {
-		d.mu.Lock()
-		const reserve = 256
-		firstNum := d.nextFileNum
-		d.nextFileNum += reserve
-		smallestSnap := d.smallestSnapshotLocked()
-		d.mu.Unlock()
-
 		targetSize := d.opts.TargetFileSize
 		maxSub := d.opts.MaxSubcompactions
 		if d.opts.CompactionStyle == CompactionUniversal {
@@ -526,6 +521,14 @@ func (d *DB) runCompactionPlan(plan *compactionPlan) error {
 			targetSize = 1 << 62
 			maxSub = 1
 		}
+		reserve := outputReservation(inputBytes, targetSize, maxSub)
+
+		d.mu.Lock()
+		firstNum := d.nextFileNum
+		d.nextFileNum += reserve
+		smallestSnap := d.smallestSnapshotLocked()
+		d.mu.Unlock()
+
 		job := CompactionJob{
 			Dir:                d.dir,
 			Inputs:             plan.inputs,
@@ -587,15 +590,43 @@ func (d *DB) runCompactionPlan(plan *compactionPlan) error {
 	return nil
 }
 
-// CompactRange forces full compaction of the whole key space, level by
-// level, waiting for each step to finish. It first flushes the memtable.
+// outputReservation sizes a job's block of output file numbers. A merge
+// writes at most about inputBytes/targetSize full files plus one partial
+// file per shard. The block is then split twice: the compactsvc
+// Orchestrator fences each attempt to a share of it (a third, by default),
+// and a sharded merge gives each shard an equal slice of its attempt's
+// share, though the shards' data need not be equal. The factor covers both;
+// 256 is the floor.
+func outputReservation(inputBytes, targetSize uint64, maxSub int) uint64 {
+	const floor, factor = 256, 8
+	if maxSub < 1 {
+		maxSub = 1
+	}
+	n := factor * (inputBytes/targetSize + 1 + uint64(maxSub))
+	if n < floor {
+		return floor
+	}
+	return n
+}
+
+// CompactRange forces a full compaction of the whole key space. It flushes
+// the memtable, then claims every file of every level as one plan and
+// merges them in a single job into the bottom level (NumLevels-1,
+// bottommost). Each live byte is read and rewritten once, and under SHIELD
+// each output file is sealed under a fresh DEK: a full rotation costs one
+// rewrite and one KDS CreateDEK per output file. The tree it leaves is the
+// one a level-by-level cascade would end with: the same merged entry
+// stream, cut at the same TargetFileSize boundaries. A tree whose files all
+// sit in the bottom level already is left as it is.
 //
-// Background jobs keep running: each manual step claims its input files
-// like any other job and waits — rebuilding its plan from the then-current
-// version after every wait, never running a stale pick — while a
-// conflicting job is in flight. Two concurrent CompactRange callers, or a
-// manual step racing a background pick, can therefore never install
-// overlapping edits.
+// The claim is built from the version current after the flush, and rebuilt
+// after every wait while an in-flight background job holds one of its
+// files; it never runs a stale pick. It also holds the exclusive L0 slot,
+// so no other job moves data down the tree while it runs. Writers keep
+// going: memtables flushed during the job land in L0 outside the claim and
+// stay there, so writes stall only if L0 reaches L0StopWritesTrigger
+// before the job ends. Two concurrent CompactRange callers serialise on
+// the claim.
 func (d *DB) CompactRange() error {
 	if d.opts.ReadOnly {
 		return ErrReadOnly
@@ -608,27 +639,23 @@ func (d *DB) CompactRange() error {
 		return d.compactAllRuns()
 	}
 
-	for lvl := 0; lvl < manifest.NumLevels-1; lvl++ {
-		plan, err := d.claimManualPlan(lvl)
-		if err != nil {
-			return err
-		}
-		if plan == nil {
-			continue
-		}
-		err = d.runCompactionPlan(plan)
-		d.finishManualPlan(plan)
-		if err != nil {
-			return err
-		}
+	plan, err := d.claimWholeTree()
+	if err != nil || plan == nil {
+		return err
 	}
-	return nil
+	err = d.runCompactionPlan(plan)
+	d.mu.Lock()
+	d.releasePlanLocked(plan)
+	d.maybeScheduleCompactionLocked()
+	d.bgCond.Broadcast()
+	d.mu.Unlock()
+	return err
 }
 
-// claimManualPlan builds a whole-level plan for lvl→lvl+1 and claims it,
-// waiting while any in-flight job holds a conflicting file. Returns a nil
-// plan when the level is empty.
-func (d *DB) claimManualPlan(lvl int) (*compactionPlan, error) {
+// claimWholeTree builds the whole-tree plan and claims it, waiting while
+// any in-flight job holds a conflicting file. Returns a nil plan when no
+// file sits above the bottom level.
+func (d *DB) claimWholeTree() (*compactionPlan, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.manualWaiters++
@@ -640,11 +667,10 @@ func (d *DB) claimManualPlan(lvl int) (*compactionPlan, error) {
 		if d.bgErr != nil {
 			return nil, d.bgErr
 		}
-		files := d.current.Levels[lvl]
-		if len(files) == 0 {
+		plan := d.newWholeTreePlanLocked()
+		if plan == nil {
 			return nil, nil
 		}
-		plan := d.newLeveledPlanLocked(lvl, files)
 		if !d.planConflictsLocked(plan) {
 			d.claimPlanLocked(plan)
 			return plan, nil
@@ -653,13 +679,29 @@ func (d *DB) claimManualPlan(lvl int) (*compactionPlan, error) {
 	}
 }
 
-// finishManualPlan releases a manual step's claim and wakes waiters.
-func (d *DB) finishManualPlan(plan *compactionPlan) {
-	d.mu.Lock()
-	d.releasePlanLocked(plan)
-	d.maybeScheduleCompactionLocked()
-	d.bgCond.Broadcast()
-	d.mu.Unlock()
+// newWholeTreePlanLocked assembles a plan merging every file of the current
+// version into the bottom level, or nil when only the bottom level holds
+// files. The plan takes the L0 slot even when L0 is empty: data flushed
+// while it runs must not be compacted down past it, or a background job
+// could write bottom-level files overlapping its outputs. d.mu held.
+func (d *DB) newWholeTreePlanLocked() *compactionPlan {
+	bottom := manifest.NumLevels - 1
+	plan := &compactionPlan{outputLevel: bottom, bottommost: true, l0: true}
+	above := false
+	for lvl, files := range d.current.Levels {
+		if len(files) == 0 {
+			continue
+		}
+		above = above || lvl < bottom
+		plan.inputs = append(plan.inputs, JobLevel{Level: lvl, Files: derefFiles(files)})
+		for _, f := range files {
+			plan.busy = append(plan.busy, f.FileNum)
+		}
+	}
+	if !above {
+		return nil
+	}
+	return plan
 }
 
 // compactAllRuns drains universal/FIFO picks until quiescent, riding the
