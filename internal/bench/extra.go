@@ -16,7 +16,7 @@ import (
 // continuously ingests, db_bench's readwhilewriting: w.Threads reader
 // goroutines run NumOps reads total against a preloaded key space while a
 // dedicated writer loops until the readers finish.
-func ReadWhileWriting(db DB, w Workload) Result {
+func ReadWhileWriting(db *lsm.DB, w Workload) Result {
 	w = w.withDefaults()
 	if w.Name == "" {
 		w.Name = "readwhilewriting"
@@ -45,7 +45,7 @@ func ReadWhileWriting(db DB, w Workload) Result {
 		}
 	}()
 
-	res := run(w, func(t int, i uint64, rng *rand.Rand) error {
+	res := run(db, w, func(t int, i uint64, rng *rand.Rand) error {
 		n := rng.Uint64() % w.KeyCount
 		_, err := db.Get(kg.Key(n))
 		if err != nil && !errors.Is(err, lsm.ErrNotFound) {
@@ -61,7 +61,7 @@ func ReadWhileWriting(db DB, w Workload) Result {
 
 // SeekRandom measures short range scans from random positions (db_bench
 // seekrandom): each op seeks to a random key and iterates scanLen entries.
-func SeekRandom(db DB, w Workload, scanLen int) Result {
+func SeekRandom(db *lsm.DB, w Workload, scanLen int) Result {
 	w = w.withDefaults()
 	if w.Name == "" {
 		w.Name = fmt.Sprintf("seekrandom-%d", scanLen)
@@ -70,7 +70,7 @@ func SeekRandom(db DB, w Workload, scanLen int) Result {
 		scanLen = 10
 	}
 	kg := NewKeyGen(w.KeySize)
-	return run(w, func(t int, i uint64, rng *rand.Rand) error {
+	return run(db, w, func(t int, i uint64, rng *rand.Rand) error {
 		it, err := db.NewIter()
 		if err != nil {
 			return err
@@ -86,14 +86,14 @@ func SeekRandom(db DB, w Workload, scanLen int) Result {
 // Overwrite repeatedly rewrites an existing key space (db_bench overwrite):
 // unlike fillrandom on an empty store, every write shadows a live version,
 // maximizing compaction's rewrite (and under SHIELD, re-encryption) volume.
-func Overwrite(db DB, w Workload) Result {
+func Overwrite(db *lsm.DB, w Workload) Result {
 	w = w.withDefaults()
 	if w.Name == "" {
 		w.Name = "overwrite"
 	}
 	kg := NewKeyGen(w.KeySize)
 	vg := NewValueGen(w.ValueSize, w.Seed+1)
-	return run(w, func(t int, i uint64, rng *rand.Rand) error {
+	return run(db, w, func(t int, i uint64, rng *rand.Rand) error {
 		n := rng.Uint64() % w.KeyCount
 		return db.Put(kg.Key(n), vg.Value(n))
 	})

@@ -12,15 +12,6 @@ import (
 	"shield/internal/metrics"
 )
 
-// DB is the slice of the engine API the harness drives.
-type DB interface {
-	Put(key, value []byte) error
-	Delete(key []byte) error
-	Get(key []byte) ([]byte, error)
-	NewIter() (*lsm.Iterator, error)
-	Flush() error
-}
-
 // Workload parameterizes one benchmark run, mirroring db_bench's knobs.
 type Workload struct {
 	// Name labels the run in reports.
@@ -82,22 +73,11 @@ type Result struct {
 	// operation the workload needed.
 	Net metrics.NetSnapshot
 
-	// Recovery is the delta of the process-wide crash-recovery counters
-	// over this run: WAL replay work, torn-tail truncations, quarantined
-	// files, and scrub verification (non-zero when the workload reopens
-	// databases).
-	Recovery metrics.RecoverySnapshot
-
-	// Jobs is the delta of the background-job scheduler counters over this
-	// run: compactions claimed, peak concurrency, subcompaction shards,
-	// compaction I/O volume, and write-stall time spent waiting on debt.
-	Jobs metrics.JobsSnapshot
-
-	// Engine is the delta of the process-wide foreground engine counters
-	// over this run: committed writes vs commit-path WAL fsyncs (the
-	// group-commit ratio), how often concurrent writers coalesced, and
-	// prefix-bloom seek outcomes.
-	Engine metrics.EngineSnapshot
+	// Engine is the delta of the benchmarked DB's own counters over this
+	// run: committed writes vs commit-path WAL fsyncs (the group-commit
+	// ratio), coalesced commit groups, compaction jobs, their peak
+	// concurrency and I/O, write-stall time, and prefix-bloom seek outcomes.
+	Engine lsm.Metrics
 }
 
 // String renders one report row.
@@ -107,14 +87,10 @@ func (r Result) String() string {
 	if r.Net.Any() {
 		s += "  [" + r.Net.String() + "]"
 	}
-	if r.Recovery.Any() {
-		s += "  [" + r.Recovery.String() + "]"
-	}
-	if r.Jobs.Any() {
-		s += "  [" + r.Jobs.String() + "]"
-	}
-	if r.Engine.Any() {
-		s += "  [" + r.Engine.String() + "]"
+	if e := r.Engine; e.Writes+e.Compactions+e.PrefixSeeks != 0 {
+		s += fmt.Sprintf("  [writes=%d wal_syncs=%d (ratio %.3f) grouped_commits=%d grouped_writers=%d compactions=%d max_running=%d subcompactions=%d stall=%v prefix_seeks=%d prefix_skips=%d]",
+			e.Writes, e.WALSyncs, e.GroupCommitRatio(), e.GroupedCommits, e.GroupedWriters, e.Compactions,
+			e.CompactionsPeak, e.Subcompactions, e.StallTime.Round(time.Millisecond), e.PrefixSeeks, e.PrefixSkips)
 	}
 	return s
 }
@@ -122,8 +98,9 @@ func (r Result) String() string {
 // opFunc performs one operation for index i on behalf of thread t.
 type opFunc func(t int, i uint64, rng *rand.Rand) error
 
-// run drives NumOps operations across w.Threads goroutines, timing each op.
-func run(w Workload, fn opFunc) Result {
+// run drives NumOps operations across w.Threads goroutines against db, timing
+// each op.
+func run(db *lsm.DB, w Workload, fn opFunc) Result {
 	w = w.withDefaults()
 	hist := &metrics.Histogram{}
 	var next atomic.Uint64
@@ -131,9 +108,7 @@ func run(w Workload, fn opFunc) Result {
 	var wg sync.WaitGroup
 
 	netBefore := metrics.Net.Snapshot()
-	recBefore := metrics.Recovery.Snapshot()
-	jobsBefore := metrics.Jobs.Snapshot()
-	engBefore := metrics.Engine.Snapshot()
+	engBefore := db.Metrics()
 	start := time.Now()
 	for t := 0; t < w.Threads; t++ {
 		wg.Add(1)
@@ -168,35 +143,33 @@ func run(w Workload, fn opFunc) Result {
 		P99:       hist.Quantile(0.99),
 		Errors:    errs.Load(),
 		Net:       metrics.Net.Snapshot().Sub(netBefore),
-		Recovery:  metrics.Recovery.Snapshot().Sub(recBefore),
-		Jobs:      metrics.Jobs.Snapshot().Sub(jobsBefore),
-		Engine:    metrics.Engine.Snapshot().Sub(engBefore),
+		Engine:    db.Metrics().Sub(engBefore),
 	}
 }
 
 // FillRandom writes NumOps random keys (db_bench fillrandom).
-func FillRandom(db DB, w Workload) Result {
+func FillRandom(db *lsm.DB, w Workload) Result {
 	w = w.withDefaults()
 	if w.Name == "" {
 		w.Name = "fillrandom"
 	}
 	kg := NewKeyGen(w.KeySize)
 	vg := NewValueGen(w.ValueSize, w.Seed)
-	return run(w, func(t int, i uint64, rng *rand.Rand) error {
+	return run(db, w, func(t int, i uint64, rng *rand.Rand) error {
 		n := rng.Uint64() % w.KeyCount
 		return db.Put(kg.Key(n), vg.Value(n))
 	})
 }
 
 // FillSeq writes NumOps sequential keys (db_bench fillseq).
-func FillSeq(db DB, w Workload) Result {
+func FillSeq(db *lsm.DB, w Workload) Result {
 	w = w.withDefaults()
 	if w.Name == "" {
 		w.Name = "fillseq"
 	}
 	kg := NewKeyGen(w.KeySize)
 	vg := NewValueGen(w.ValueSize, w.Seed)
-	return run(w, func(t int, i uint64, rng *rand.Rand) error {
+	return run(db, w, func(t int, i uint64, rng *rand.Rand) error {
 		return db.Put(kg.Key(i), vg.Value(i))
 	})
 }
@@ -204,13 +177,13 @@ func FillSeq(db DB, w Workload) Result {
 // ReadRandom reads NumOps uniformly random existing keys (db_bench
 // readrandom). Missing keys are not errors when the preload was random
 // (collisions leave holes), so only unexpected failures count.
-func ReadRandom(db DB, w Workload) Result {
+func ReadRandom(db *lsm.DB, w Workload) Result {
 	w = w.withDefaults()
 	if w.Name == "" {
 		w.Name = "readrandom"
 	}
 	kg := NewKeyGen(w.KeySize)
-	return run(w, func(t int, i uint64, rng *rand.Rand) error {
+	return run(db, w, func(t int, i uint64, rng *rand.Rand) error {
 		n := rng.Uint64() % w.KeyCount
 		_, err := db.Get(kg.Key(n))
 		if err != nil && !errors.Is(err, lsm.ErrNotFound) {
@@ -222,14 +195,14 @@ func ReadRandom(db DB, w Workload) Result {
 
 // MixedRatio performs ReadPct% reads and the rest writes over the key space
 // (db_bench readrandomwriterandom).
-func MixedRatio(db DB, w Workload) Result {
+func MixedRatio(db *lsm.DB, w Workload) Result {
 	w = w.withDefaults()
 	if w.Name == "" {
 		w.Name = fmt.Sprintf("mixed-r%d", w.ReadPct)
 	}
 	kg := NewKeyGen(w.KeySize)
 	vg := NewValueGen(w.ValueSize, w.Seed)
-	return run(w, func(t int, i uint64, rng *rand.Rand) error {
+	return run(db, w, func(t int, i uint64, rng *rand.Rand) error {
 		n := rng.Uint64() % w.KeyCount
 		if rng.Intn(100) < w.ReadPct {
 			_, err := db.Get(kg.Key(n))
@@ -244,7 +217,7 @@ func MixedRatio(db DB, w Workload) Result {
 
 // Preload fills the database with exactly KeyCount sequential keys and
 // flushes, establishing the read set for read benchmarks.
-func Preload(db DB, w Workload) error {
+func Preload(db *lsm.DB, w Workload) error {
 	w = w.withDefaults()
 	kg := NewKeyGen(w.KeySize)
 	vg := NewValueGen(w.ValueSize, w.Seed)
@@ -259,7 +232,7 @@ func Preload(db DB, w Workload) error {
 // Mixgraph approximates the paper's Mixgraph macro benchmark: zipfian key
 // popularity, Pareto-distributed small values (mean ≈ 37 bytes), and a
 // production-like op mix of ~80% Get, 15% Put, 5% short scans.
-func Mixgraph(db DB, w Workload) Result {
+func Mixgraph(db *lsm.DB, w Workload) Result {
 	w = w.withDefaults()
 	if w.Name == "" {
 		w.Name = "mixgraph"
@@ -268,7 +241,7 @@ func Mixgraph(db DB, w Workload) Result {
 	zipf := NewZipfian(w.KeyCount, w.Seed)
 	sizes := NewPareto(16.0, 0.2, 10, 1024, w.Seed)
 	vg := NewValueGen(2048, w.Seed)
-	return run(w, func(t int, i uint64, rng *rand.Rand) error {
+	return run(db, w, func(t int, i uint64, rng *rand.Rand) error {
 		n := zipf.ScrambledNext()
 		switch r := rng.Intn(100); {
 		case r < 80:

@@ -70,6 +70,10 @@ type RegressWorkloadResult struct {
 type RegressConfigResult struct {
 	Config    RegressConfig           `json:"config"`
 	Workloads []RegressWorkloadResult `json:"workloads"`
+
+	// Engine is the configuration's DB counters over its whole life,
+	// background work outside the timed windows included. Not serialized.
+	Engine lsm.Metrics `json:"-"`
 }
 
 // RegressServerResult is the serving-layer section of the report: an
@@ -251,13 +255,13 @@ func regressRow(r Result) RegressWorkloadResult {
 		P50Micros:             float64(r.P50.Nanoseconds()) / 1e3,
 		P99Micros:             float64(r.P99.Nanoseconds()) / 1e3,
 		Errors:                r.Errors,
-		Compactions:           r.Jobs.CompactionsStarted,
-		Subcompactions:        r.Jobs.SubcompactionsStarted,
-		MaxRunningJobs:        r.Jobs.MaxRunning,
-		SchedDeferred:         r.Jobs.SchedDeferred,
-		BytesCompactedRead:    r.Jobs.BytesRead,
-		BytesCompactedWritten: r.Jobs.BytesWritten,
-		StallMillis:           float64(r.Jobs.StallNanos) / 1e6,
+		Compactions:           r.Engine.Compactions,
+		Subcompactions:        r.Engine.Subcompactions,
+		MaxRunningJobs:        r.Engine.CompactionsPeak,
+		SchedDeferred:         r.Engine.CompactionsQueued,
+		BytesCompactedRead:    r.Engine.CompactionRead,
+		BytesCompactedWritten: r.Engine.CompactionWritten,
+		StallMillis:           float64(r.Engine.StallTime) / 1e6,
 		Writes:                r.Engine.Writes,
 		WALSyncs:              r.Engine.WALSyncs,
 		GroupCommitRatio:      r.Engine.GroupCommitRatio(),
@@ -375,6 +379,7 @@ func RunRegression(scale float64, out io.Writer) (*RegressReport, error) {
 		over.Seed = 2297
 		run(FillRandom(db, over))
 
+		cr.Engine = db.Metrics()
 		if err := db.Close(); err != nil {
 			return nil, fmt.Errorf("bench: close %s: %w", cfg.Name, err)
 		}

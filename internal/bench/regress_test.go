@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"io"
 	"testing"
-
-	"shield/internal/metrics"
 )
 
 // TestRegressionProfileSmoke runs the BENCH_5 profile at a tiny scale and
@@ -15,16 +13,19 @@ import (
 // are not asserted — at smoke scale on shared CI hardware they are noise;
 // the full-scale run (make bench-json) is where the speedup is read.
 func TestRegressionProfileSmoke(t *testing.T) {
-	jobsBefore := metrics.Jobs.Snapshot()
 	report, err := RunRegression(0.05, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The profile must exercise the scheduler end to end, even if at smoke
 	// scale the background jobs land outside the timed workload windows.
-	jobs := metrics.Jobs.Snapshot().Sub(jobsBefore)
-	if jobs.CompactionsStarted == 0 || jobs.SubcompactionsStarted == 0 {
-		t.Errorf("profile scheduled no parallel work: %s", jobs)
+	var compactions, subcompactions int64
+	for _, cr := range report.Configs {
+		compactions += cr.Engine.Compactions
+		subcompactions += cr.Engine.Subcompactions
+	}
+	if compactions == 0 || subcompactions == 0 {
+		t.Errorf("profile scheduled no parallel work: compactions=%d subcompactions=%d", compactions, subcompactions)
 	}
 	if len(report.Configs) != 2 {
 		t.Fatalf("got %d configs, want 2", len(report.Configs))

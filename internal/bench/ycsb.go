@@ -27,7 +27,7 @@ var AllYCSB = []YCSBWorkload{YCSBA, YCSBB, YCSBC, YCSBD, YCSBE, YCSBF}
 
 // YCSBLoad preloads the record set (the paper uses 1 KiB values, larger
 // than Mixgraph's).
-func YCSBLoad(db DB, w Workload) error {
+func YCSBLoad(db *lsm.DB, w Workload) error {
 	w = w.withDefaults()
 	if w.ValueSize == 0 || w.ValueSize == 100 {
 		w.ValueSize = 1024
@@ -36,7 +36,7 @@ func YCSBLoad(db DB, w Workload) error {
 }
 
 // YCSB runs one core workload over a preloaded database.
-func YCSB(db DB, kind YCSBWorkload, w Workload) Result {
+func YCSB(db *lsm.DB, kind YCSBWorkload, w Workload) Result {
 	w = w.withDefaults()
 	if w.ValueSize == 0 || w.ValueSize == 100 {
 		w.ValueSize = 1024
@@ -82,7 +82,7 @@ func YCSB(db DB, kind YCSBWorkload, w Workload) Result {
 		return it.Err()
 	}
 
-	return run(w, func(t int, i uint64, rng *rand.Rand) error {
+	return run(db, w, func(t int, i uint64, rng *rand.Rand) error {
 		switch kind {
 		case YCSBA:
 			if rng.Intn(100) < 50 {

@@ -219,26 +219,35 @@ func (c *Client) discard(cc *clientConn) {
 // retryable reports whether a request may be re-sent after a transport
 // failure that could have delivered it. Reads, metadata ops, syncs, and
 // closes are idempotent; writes are deduplicated server-side by sequence
-// number; Remove/Rename retried after being applied surface ErrNotFound,
-// which callers treat as the (already reached) goal state.
+// number; Remove/Rename re-sent after being applied surface ErrNotFound,
+// which Client.Remove and Client.Rename map back to success.
 func retryable(req *Request) bool {
 	return req.Op != OpWrite || req.Seq != 0
 }
 
 // roundTrip sends one request with deadlines, backoff, and redial.
 func (c *Client) roundTrip(req *Request) (*Response, error) {
+	resp, _, err := c.send(req)
+	return resp, err
+}
+
+// send is roundTrip that also reports whether the request was re-sent after
+// an attempt that may have reached the server — so the answer may describe
+// the state after the request was already applied once.
+func (c *Client) send(req *Request) (_ *Response, resent bool, _ error) {
 	var lastErr error
+	mayHaveApplied := false
 	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
 		if attempt > 0 {
 			metrics.Net.Retries.Add(1)
 			if !netretry.Sleep(netretry.Delay(attempt-1, c.cfg.BackoffBase, c.cfg.BackoffMax), c.done) {
-				return nil, ErrClosed
+				return nil, false, ErrClosed
 			}
 		}
 		cc, err := c.checkout()
 		if err != nil {
 			if errors.Is(err, ErrClosed) {
-				return nil, err
+				return nil, false, err
 			}
 			lastErr = err // dial failure: nothing sent, always retryable
 			continue
@@ -251,28 +260,29 @@ func (c *Client) roundTrip(req *Request) (*Response, error) {
 				cc.conn.SetDeadline(time.Time{}) //nolint:errcheck
 				c.putBack(cc)
 				if resp.Err != "" {
-					return &resp, mapRemoteError(resp.Err)
+					return &resp, mayHaveApplied, mapRemoteError(resp.Err)
 				}
-				return &resp, nil
+				return &resp, mayHaveApplied, nil
 			}
 		}
+		mayHaveApplied = true
 		if netretry.IsTimeout(err) {
 			metrics.Net.Timeouts.Add(1)
 		}
 		c.discard(cc)
 		lastErr = err
 		if netretry.Permanent(err) {
-			return nil, fmt.Errorf("dstore: %w (not retried: permanent)", err)
+			return nil, false, fmt.Errorf("dstore: %w (not retried: permanent)", err)
 		}
 		if !retryable(req) {
-			return nil, netretry.Transport(fmt.Errorf("dstore: %w (not retried: non-idempotent)", err))
+			return nil, false, netretry.Transport(fmt.Errorf("dstore: %w (not retried: non-idempotent)", err))
 		}
 	}
 	// Exhausted attempts on dial/send/receive failures: the node itself is
 	// unreachable or resetting. The transport class tells replica-set callers
 	// this is a node-health event (demote, fail over) rather than an answer
 	// from a live node, which must never trigger failover.
-	return nil, netretry.Transport(fmt.Errorf("dstore: request failed after %d attempts: %w",
+	return nil, false, netretry.Transport(fmt.Errorf("dstore: request failed after %d attempts: %w",
 		c.cfg.MaxAttempts, lastErr))
 }
 
@@ -331,15 +341,25 @@ func (c *Client) OpenSequential(name string) (vfs.SequentialFile, error) {
 	return &remoteSequential{r: r}, nil
 }
 
-// Remove implements vfs.FS.
+// Remove implements vfs.FS. A Remove re-sent after its reply was lost finds
+// the file already gone; that is the goal state, so it reports success.
 func (c *Client) Remove(name string) error {
-	_, err := c.roundTrip(&Request{Op: OpRemove, Name: name})
+	_, resent, err := c.send(&Request{Op: OpRemove, Name: name})
+	if resent && errors.Is(err, vfs.ErrNotFound) {
+		return nil
+	}
 	return err
 }
 
-// Rename implements vfs.FS.
+// Rename implements vfs.FS. A Rename re-sent after its reply was lost finds
+// oldname already gone; it reports success when newname is in place.
 func (c *Client) Rename(oldname, newname string) error {
-	_, err := c.roundTrip(&Request{Op: OpRename, Name: oldname, Name2: newname})
+	_, resent, err := c.send(&Request{Op: OpRename, Name: oldname, Name2: newname})
+	if resent && errors.Is(err, vfs.ErrNotFound) {
+		if _, serr := c.Stat(newname); serr == nil {
+			return nil
+		}
+	}
 	return err
 }
 

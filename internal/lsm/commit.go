@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"shield/internal/lsm/base"
-	"shield/internal/metrics"
 )
 
 // Group commit: concurrent Put/Write callers enqueue into a commit pipeline
@@ -225,7 +224,6 @@ func (d *DB) commitGroup(group []*commitWaiter) error {
 				return errDegraded(err)
 			}
 			d.metWALSyncs.Add(1)
-			metrics.Engine.WALSyncs.Add(1)
 		}
 	}
 
@@ -239,10 +237,9 @@ func (d *DB) commitGroup(group []*commitWaiter) error {
 	}
 	d.lastSeq.Store(uint64(next - 1))
 	d.metWrites.Add(int64(len(group)))
-	metrics.Engine.Writes.Add(int64(len(group)))
 	if len(group) > 1 {
-		metrics.Engine.GroupedCommits.Add(1)
-		metrics.Engine.GroupedWriters.Add(int64(len(group)))
+		d.metGroups.Add(1)
+		d.metGrouped.Add(int64(len(group)))
 	}
 	if hook := d.commitHook; hook != nil {
 		hook(len(group), seqBase, next-1, rec)

@@ -8,7 +8,6 @@ import (
 	"shield/internal/lsm/base"
 	"shield/internal/lsm/manifest"
 	"shield/internal/lsm/sstable"
-	"shield/internal/metrics"
 	"shield/internal/vfs"
 )
 
@@ -144,7 +143,6 @@ func RunCompaction(fs vfs.FS, wrapper FileWrapper, job CompactionJob) (Compactio
 		}
 	}
 	if err != nil {
-		metrics.Storage.CompactionAborts.Add(1)
 		return CompactionResult{BytesRead: bytesRead, Subcompactions: res.Subcompactions}, err
 	}
 	return res, nil
@@ -410,7 +408,9 @@ func (d *DB) claimPlanLocked(plan *compactionPlan) {
 		d.l0Jobs++
 	}
 	d.compactions++
-	metrics.Jobs.JobStarted()
+	if d.compactions > d.compactionsPeak {
+		d.compactionsPeak = d.compactions
+	}
 }
 
 // releasePlanLocked undoes claimPlanLocked once the job finishes. d.mu held.
@@ -422,7 +422,6 @@ func (d *DB) releasePlanLocked(plan *compactionPlan) {
 		d.l0Jobs--
 	}
 	d.compactions--
-	metrics.Jobs.JobDone()
 }
 
 // maybeScheduleCompactionLocked starts compaction workers while runnable
@@ -457,7 +456,6 @@ func (d *DB) maybeScheduleCompactionLocked() {
 	// Every job slot is taken; note whether runnable work had to queue.
 	if d.pickCompactionLocked() != nil {
 		d.metSchedDeferred.Add(1)
-		metrics.Jobs.SchedDeferred.Add(1)
 	}
 }
 
@@ -549,6 +547,7 @@ func (d *DB) runCompactionPlan(plan *compactionPlan) error {
 		}
 		res, err := compactor.Compact(job)
 		if err != nil {
+			d.metCompAborts.Add(1)
 			if errors.Is(err, vfs.ErrNoSpace) || errors.Is(err, ErrJobLost) {
 				// RunCompaction (local or remote) aborted and cleaned up its
 				// outputs — or the orchestrator lost every worker lease and
@@ -560,8 +559,6 @@ func (d *DB) runCompactionPlan(plan *compactionPlan) error {
 		}
 		d.metCompRead.Add(res.BytesRead)
 		d.metCompWrite.Add(res.BytesWritten)
-		metrics.Jobs.BytesRead.Add(res.BytesRead)
-		metrics.Jobs.BytesWritten.Add(res.BytesWritten)
 		if res.Subcompactions > 1 {
 			d.metSubcomp.Add(int64(res.Subcompactions))
 		}

@@ -18,7 +18,6 @@ import (
 	"shield/internal/lsm/manifest"
 	"shield/internal/lsm/sstable"
 	"shield/internal/lsm/wal"
-	"shield/internal/metrics"
 	"shield/internal/vfs"
 )
 
@@ -29,7 +28,8 @@ var (
 	ErrReadOnly = errors.New("lsm: database opened read-only")
 )
 
-// Metrics exposes engine counters.
+// Metrics exposes one DB's counters. Every event the DB observes is charged
+// here and nowhere else, so two DBs in one process never share a count.
 type Metrics struct {
 	Flushes           int64
 	Compactions       int64
@@ -41,9 +41,30 @@ type Metrics struct {
 	StallTime         time.Duration
 	Gets              int64
 	Writes            int64
-	CompactionsActive int64 // compaction jobs in flight now
+	CompactionsActive int64 // gauge: compaction jobs in flight now
+	CompactionsPeak   int64 // gauge: high-water mark of CompactionsActive
 	CompactionsQueued int64 // runnable plans deferred for lack of a job slot
+	CompactionAborts  int64 // compaction jobs that failed with their inputs retained
 	Subcompactions    int64 // key-range shards run by split compaction jobs
+
+	// Commit groups that coalesced more than one writer, and the writers
+	// that rode them.
+	GroupedCommits int64
+	GroupedWriters int64
+
+	// Recovery and integrity: batch records re-applied from WALs at open,
+	// WALs ended early at a torn or corrupt tail, corrupt files moved aside
+	// or dropped, SST blocks whose checksums open-time verification checked
+	// (ParanoidChecks), and time spent recovering in Open.
+	WALRecordsReplayed int64
+	WALTailTruncations int64
+	FilesQuarantined   int64
+	BlocksVerified     int64
+	RecoveryTime       time.Duration
+
+	// DegradedEntries counts the times the DB poisoned itself into
+	// read-only degraded mode.
+	DegradedEntries int64
 
 	// Block-cache counters (zero when the cache is disabled). PinnedBytes is
 	// the charge held by the pinned class (L0 data + index/filter blocks
@@ -57,6 +78,41 @@ type Metrics struct {
 	// prefix absent.
 	PrefixSeeks int64
 	PrefixSkips int64
+}
+
+// Sub returns the delta m minus prev. The gauges (CompactionsActive,
+// CompactionsPeak, BlockCachePinned) are kept from m, the later snapshot.
+func (m Metrics) Sub(prev Metrics) Metrics {
+	return Metrics{
+		Flushes:            m.Flushes - prev.Flushes,
+		Compactions:        m.Compactions - prev.Compactions,
+		CompactionRead:     m.CompactionRead - prev.CompactionRead,
+		CompactionWritten:  m.CompactionWritten - prev.CompactionWritten,
+		FlushWritten:       m.FlushWritten - prev.FlushWritten,
+		WALWritten:         m.WALWritten - prev.WALWritten,
+		WALSyncs:           m.WALSyncs - prev.WALSyncs,
+		StallTime:          m.StallTime - prev.StallTime,
+		Gets:               m.Gets - prev.Gets,
+		Writes:             m.Writes - prev.Writes,
+		CompactionsActive:  m.CompactionsActive,
+		CompactionsPeak:    m.CompactionsPeak,
+		CompactionsQueued:  m.CompactionsQueued - prev.CompactionsQueued,
+		CompactionAborts:   m.CompactionAborts - prev.CompactionAborts,
+		Subcompactions:     m.Subcompactions - prev.Subcompactions,
+		GroupedCommits:     m.GroupedCommits - prev.GroupedCommits,
+		GroupedWriters:     m.GroupedWriters - prev.GroupedWriters,
+		WALRecordsReplayed: m.WALRecordsReplayed - prev.WALRecordsReplayed,
+		WALTailTruncations: m.WALTailTruncations - prev.WALTailTruncations,
+		FilesQuarantined:   m.FilesQuarantined - prev.FilesQuarantined,
+		BlocksVerified:     m.BlocksVerified - prev.BlocksVerified,
+		RecoveryTime:       m.RecoveryTime - prev.RecoveryTime,
+		DegradedEntries:    m.DegradedEntries - prev.DegradedEntries,
+		BlockCacheHits:     m.BlockCacheHits - prev.BlockCacheHits,
+		BlockCacheMisses:   m.BlockCacheMisses - prev.BlockCacheMisses,
+		BlockCachePinned:   m.BlockCachePinned,
+		PrefixSeeks:        m.PrefixSeeks - prev.PrefixSeeks,
+		PrefixSkips:        m.PrefixSkips - prev.PrefixSkips,
+	}
 }
 
 // GroupCommitRatio returns wal_syncs/writes — the group-commit win under
@@ -109,8 +165,9 @@ type DB struct {
 	// the next edit must rotate to a fresh manifest instead of appending.
 	manifestBad bool
 
-	flushing    bool
-	compactions int // compaction jobs in flight (background + manual)
+	flushing        bool
+	compactions     int // compaction jobs in flight (background + manual)
+	compactionsPeak int // high-water mark of compactions
 	// l0Jobs counts in-flight jobs consuming level-0 inputs. At most one
 	// may run: L0 files overlap arbitrarily and files flushed after an L0
 	// job starts are not claimed by it, so a second L0 job's outputs could
@@ -155,6 +212,15 @@ type DB struct {
 	metWrites        atomic.Int64
 	metSubcomp       atomic.Int64
 	metSchedDeferred atomic.Int64
+	metCompAborts    atomic.Int64
+	metGroups        atomic.Int64
+	metGrouped       atomic.Int64
+	metReplayed      atomic.Int64
+	metTornTails     atomic.Int64
+	metQuarantined   atomic.Int64
+	metVerified      atomic.Int64
+	metRecovery      atomic.Int64
+	metDegraded      atomic.Int64
 	metPrefixSeeks   atomic.Int64
 	metPrefixSkips   atomic.Int64
 }
@@ -204,7 +270,7 @@ func Open(dir string, opts Options) (*DB, error) {
 	if err := d.recover(); err != nil {
 		return nil, err
 	}
-	metrics.Recovery.RecoveryNanos.Add(time.Since(start).Nanoseconds())
+	d.metRecovery.Store(int64(time.Since(start)))
 
 	d.mu.Lock()
 	d.maybeScheduleFlushLocked()
@@ -692,7 +758,7 @@ func (d *DB) verifyTables() error {
 			if !d.opts.ReadOnly {
 				d.quarantine(name)
 			}
-			metrics.Recovery.FilesQuarantined.Add(1)
+			d.metQuarantined.Add(1)
 			if dropped == nil {
 				dropped = make(map[uint64]bool)
 			}
@@ -727,7 +793,7 @@ func (d *DB) verifyTable(fileNum uint64) error {
 		return nil
 	}
 	n, err := r.VerifyChecksums()
-	metrics.Recovery.ScrubBlocksVerified.Add(n)
+	d.metVerified.Add(n)
 	return err
 }
 
@@ -839,7 +905,7 @@ func (d *DB) replayWAL(num uint64, mem *memTable) error {
 			if errors.Is(err, wal.ErrCorrupt) {
 				// Torn tail from a crash: recover everything before it.
 				d.opts.Logger("lsm: WAL %d truncated at corrupt record: %v", num, err)
-				metrics.Recovery.WALTailTruncations.Add(1)
+				d.metTornTails.Add(1)
 				return nil
 			}
 			return err
@@ -855,7 +921,7 @@ func (d *DB) replayWAL(num uint64, mem *memTable) error {
 			// that is corruption, not a torn tail.
 			return &CorruptionError{Path: name, Kind: FileKindWAL, Detail: "undecodable batch", Err: err}
 		}
-		metrics.Recovery.WALRecordsReplayed.Add(1)
+		d.metReplayed.Add(1)
 		if uint64(maxSeq) > d.lastSeq.Load() {
 			d.lastSeq.Store(uint64(maxSeq))
 		}
@@ -942,9 +1008,7 @@ func (d *DB) makeRoomForWrite() error {
 		case d.mem.approximateSize() < d.opts.MemtableSize:
 			d.mu.Unlock()
 			if !stallStart.IsZero() {
-				stalled := time.Since(stallStart).Nanoseconds()
-				d.metStallNanos.Add(stalled)
-				metrics.Jobs.StallNanos.Add(stalled)
+				d.metStallNanos.Add(time.Since(stallStart).Nanoseconds())
 			}
 			return nil
 		case len(d.imm) >= 2:
@@ -996,7 +1060,7 @@ func (d *DB) setBGErr(err error) {
 func (d *DB) setBGErrLocked(err error) {
 	if d.bgErr == nil {
 		d.bgErr = err
-		metrics.Storage.DegradedEntries.Add(1)
+		d.metDegraded.Add(1)
 		d.opts.Logger("lsm: entering degraded (read-only) mode: %v", err)
 	}
 	d.bgCond.Broadcast()
@@ -1201,7 +1265,7 @@ func (d *DB) quarantineIntegrity(fileNum uint64) {
 			d.zombies[i].quarantine = true
 		}
 	}
-	metrics.Recovery.FilesQuarantined.Add(1)
+	d.metQuarantined.Add(1)
 }
 
 // NewIter returns an iterator over a consistent snapshot of the database.
@@ -1248,10 +1312,7 @@ func (d *DB) NewIter() (*Iterator, error) {
 		m:             newMergingIter(iters...),
 		seq:           seq,
 		prefixExtract: d.opts.PrefixExtractor,
-		onPrefixSeek: func() {
-			d.metPrefixSeeks.Add(1)
-			metrics.Engine.PrefixSeeks.Add(1)
-		},
+		onPrefixSeek:  func() { d.metPrefixSeeks.Add(1) },
 		onClose: func() {
 			d.mu.Lock()
 			d.iterCount--
@@ -1282,7 +1343,6 @@ func (d *DB) openTableIter(fileNum uint64) (internalIterator, error) {
 				return true
 			}
 			d.metPrefixSkips.Add(1)
-			metrics.Engine.PrefixSkips.Add(1)
 			return false
 		},
 	}, nil
@@ -1727,7 +1787,7 @@ func (d *DB) smallestSnapshotLocked() base.SeqNum {
 // Metrics returns a snapshot of engine counters.
 func (d *DB) Metrics() Metrics {
 	d.mu.Lock()
-	active := int64(d.compactions)
+	active, peak := int64(d.compactions), int64(d.compactionsPeak)
 	d.mu.Unlock()
 	var hits, misses, pinned int64
 	if d.blockCache != nil {
@@ -1735,24 +1795,34 @@ func (d *DB) Metrics() Metrics {
 		pinned = d.blockCache.Pinned()
 	}
 	return Metrics{
-		Flushes:           d.metFlushes.Load(),
-		Compactions:       d.metCompact.Load(),
-		CompactionRead:    d.metCompRead.Load(),
-		CompactionWritten: d.metCompWrite.Load(),
-		FlushWritten:      d.metFlushWrite.Load(),
-		WALWritten:        d.metWAL.Load(),
-		WALSyncs:          d.metWALSyncs.Load(),
-		StallTime:         time.Duration(d.metStallNanos.Load()),
-		Gets:              d.metGets.Load(),
-		Writes:            d.metWrites.Load(),
-		CompactionsActive: active,
-		CompactionsQueued: d.metSchedDeferred.Load(),
-		Subcompactions:    d.metSubcomp.Load(),
-		BlockCacheHits:    hits,
-		BlockCacheMisses:  misses,
-		BlockCachePinned:  pinned,
-		PrefixSeeks:       d.metPrefixSeeks.Load(),
-		PrefixSkips:       d.metPrefixSkips.Load(),
+		Flushes:            d.metFlushes.Load(),
+		Compactions:        d.metCompact.Load(),
+		CompactionRead:     d.metCompRead.Load(),
+		CompactionWritten:  d.metCompWrite.Load(),
+		FlushWritten:       d.metFlushWrite.Load(),
+		WALWritten:         d.metWAL.Load(),
+		WALSyncs:           d.metWALSyncs.Load(),
+		StallTime:          time.Duration(d.metStallNanos.Load()),
+		Gets:               d.metGets.Load(),
+		Writes:             d.metWrites.Load(),
+		CompactionsActive:  active,
+		CompactionsPeak:    peak,
+		CompactionsQueued:  d.metSchedDeferred.Load(),
+		CompactionAborts:   d.metCompAborts.Load(),
+		Subcompactions:     d.metSubcomp.Load(),
+		GroupedCommits:     d.metGroups.Load(),
+		GroupedWriters:     d.metGrouped.Load(),
+		WALRecordsReplayed: d.metReplayed.Load(),
+		WALTailTruncations: d.metTornTails.Load(),
+		FilesQuarantined:   d.metQuarantined.Load(),
+		BlocksVerified:     d.metVerified.Load(),
+		RecoveryTime:       time.Duration(d.metRecovery.Load()),
+		DegradedEntries:    d.metDegraded.Load(),
+		BlockCacheHits:     hits,
+		BlockCacheMisses:   misses,
+		BlockCachePinned:   pinned,
+		PrefixSeeks:        d.metPrefixSeeks.Load(),
+		PrefixSkips:        d.metPrefixSkips.Load(),
 	}
 }
 

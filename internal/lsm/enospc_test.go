@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"testing"
 
-	"shield/internal/metrics"
 	"shield/internal/vfs"
 )
 
@@ -22,8 +21,6 @@ func TestWALAppendENOSPCDegradesThenRecovers(t *testing.T) {
 	opts := testOptions(q)
 	opts.SyncWrites = true
 	opts.Logger = func(string, ...any) {}
-
-	storageBefore := metrics.Storage.Snapshot()
 
 	db, err := Open("db", opts)
 	if err != nil {
@@ -79,9 +76,9 @@ func TestWALAppendENOSPCDegradesThenRecovers(t *testing.T) {
 		}
 	}
 
-	storageAfter := metrics.Storage.Snapshot()
-	if d := storageAfter.Sub(storageBefore); d.DegradedEntries < 1 || d.NoSpaceErrors < 1 {
-		t.Fatalf("metrics did not record the incident: %+v", d)
+	if m := db.Metrics(); m.DegradedEntries < 1 || q.NoSpaceErrors() < 1 {
+		t.Fatalf("metrics did not record the incident: degraded_entries=%d no_space=%d",
+			m.DegradedEntries, q.NoSpaceErrors())
 	}
 
 	// Close may fail flushing writer buffers into the full disk; the WAL's
@@ -90,7 +87,6 @@ func TestWALAppendENOSPCDegradesThenRecovers(t *testing.T) {
 
 	// Operator frees space; reopen recovers all acked writes.
 	q.SetLimit(0)
-	recBefore := metrics.Recovery.Snapshot()
 	db2, err := Open("db", opts)
 	if err != nil {
 		t.Fatalf("reopen after raising quota: %v", err)
@@ -112,7 +108,7 @@ func TestWALAppendENOSPCDegradesThenRecovers(t *testing.T) {
 			t.Fatalf("unacked key %s resurrected with garbage %q", k, got)
 		}
 	}
-	if d := metrics.Recovery.Snapshot().Sub(recBefore); d.WALRecordsReplayed == 0 {
+	if db2.Metrics().WALRecordsReplayed == 0 {
 		t.Fatal("recovery replayed no WAL records; the acked writes came from nowhere")
 	}
 	if err := db2.Close(); err != nil {
@@ -122,14 +118,13 @@ func TestWALAppendENOSPCDegradesThenRecovers(t *testing.T) {
 	// WAL idempotence across the degraded boundary: recovery flushed the
 	// replayed records to L0 and advanced the log number, so a second reopen
 	// replays nothing twice.
-	recBefore = metrics.Recovery.Snapshot()
 	db3, err := Open("db", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db3.Close()
-	if d := metrics.Recovery.Snapshot().Sub(recBefore); d.WALRecordsReplayed != 0 {
-		t.Fatalf("second reopen replayed %d WAL records; recovery is not idempotent", d.WALRecordsReplayed)
+	if n := db3.Metrics().WALRecordsReplayed; n != 0 {
+		t.Fatalf("second reopen replayed %d WAL records; recovery is not idempotent", n)
 	}
 	for k, want := range acked {
 		got, err := db3.Get([]byte(k))
@@ -191,7 +186,7 @@ func TestCompactionENOSPCAbortsAndRetainsInputs(t *testing.T) {
 
 	// Leave room for barely a block of compaction output, then compact.
 	q.SetLimit(q.Used() + 256)
-	storageBefore := metrics.Storage.Snapshot()
+	metBefore := db.Metrics()
 	err = db.CompactRange()
 	if err == nil {
 		t.Fatal("CompactRange succeeded with no space for outputs")
@@ -202,7 +197,7 @@ func TestCompactionENOSPCAbortsAndRetainsInputs(t *testing.T) {
 	if db.Degraded() != nil {
 		t.Fatalf("aborted compaction poisoned the engine: %v", db.Degraded())
 	}
-	if d := metrics.Storage.Snapshot().Sub(storageBefore); d.CompactionAborts < 1 {
+	if d := db.Metrics().Sub(metBefore); d.CompactionAborts < 1 {
 		t.Fatal("CompactionAborts metric did not record the abort")
 	}
 	// Inputs retained, partial outputs deleted: same files, same data.

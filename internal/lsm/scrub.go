@@ -12,7 +12,6 @@ import (
 	"shield/internal/lsm/manifest"
 	"shield/internal/lsm/sstable"
 	"shield/internal/lsm/wal"
-	"shield/internal/metrics"
 	"shield/internal/vfs"
 )
 
@@ -355,7 +354,6 @@ func (s *scrubber) quarantine(name string, kind FileKind, detail string) {
 			s.finding(name, kind, ScrubSkipped, "quarantine failed: "+err.Error())
 			return
 		}
-		metrics.Recovery.FilesQuarantined.Add(1)
 	}
 	s.finding(name, kind, ScrubQuarantined, detail)
 }
@@ -466,7 +464,6 @@ func (s *scrubber) checkSST(name string, meta *manifest.FileMetadata) (ScrubActi
 	n, err := verify()
 	raw.Close()
 	s.report.BlocksVerified += n
-	metrics.Recovery.ScrubBlocksVerified.Add(n)
 	if err == nil {
 		return "", "", VerdictOK
 	}

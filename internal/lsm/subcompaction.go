@@ -26,7 +26,6 @@ import (
 	"shield/internal/lsm/base"
 	"shield/internal/lsm/manifest"
 	"shield/internal/lsm/sstable"
-	"shield/internal/metrics"
 	"shield/internal/vfs"
 )
 
@@ -99,7 +98,6 @@ func runShardedCompaction(fs vfs.FS, wrapper FileWrapper, job CompactionJob, bou
 	if per == 0 {
 		return res, fmt.Errorf("lsm: %d subcompactions over %d reserved file numbers", n, job.MaxOutputFiles)
 	}
-	metrics.Jobs.SubcompactionsStarted.Add(int64(n))
 	var (
 		wg      sync.WaitGroup
 		abort   atomic.Bool

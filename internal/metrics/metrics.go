@@ -1,5 +1,12 @@
-// Package metrics provides the latency histogram and throughput accounting
-// used by the benchmark harness.
+// Package metrics provides the latency histogram the benchmark harness
+// records into, and Net, the process-wide fault-tolerance counters the
+// network clients (KDS, dstore, replica set, compaction service) charge.
+//
+// Every other counter has one owner: an lsm.DB charges its own
+// lsm.Metrics, a server.Server its serving counters, a vfs.QuotaFS its
+// ErrNoSpace refusals, and a seccache.Cache its failed and dropped saves.
+// Nothing else in a process can move them, so each count is attributable to
+// one instance.
 package metrics
 
 import (

@@ -31,7 +31,6 @@ import (
 
 	"shield/internal/crypt"
 	"shield/internal/kds"
-	"shield/internal/metrics"
 	"shield/internal/vfs"
 )
 
@@ -81,6 +80,7 @@ type Cache struct {
 	hits      int64
 	misses    int64
 	saveErrs  int64
+	dropped   int64 // saves skipped on ErrNoSpace; a subset of saveErrs
 	autosave  bool
 	recovered bool
 
@@ -328,6 +328,14 @@ func (c *Cache) SaveErrors() int64 {
 	return c.saveErrs
 }
 
+// SavesDropped reports how many of those failed saves were skipped because
+// the cache's storage was full (vfs.ErrNoSpace) rather than returned.
+func (c *Cache) SavesDropped() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.dropped
+}
+
 // Save persists the cache immediately.
 func (c *Cache) Save() error {
 	return c.save()
@@ -347,15 +355,18 @@ func (c *Cache) save() error {
 		err = c.writeSnapshot(seq, out)
 	}
 	if err != nil {
+		// A full cache disk must not fail the write path: the cache is an
+		// optimization (every DEK is re-fetchable from the KDS) and the
+		// entry is already live in memory. Count the drop and keep
+		// serving; a later save retries once mutations continue.
+		dropped := errors.Is(err, vfs.ErrNoSpace)
 		c.mu.Lock()
 		c.saveErrs++
+		if dropped {
+			c.dropped++
+		}
 		c.mu.Unlock()
-		if errors.Is(err, vfs.ErrNoSpace) {
-			// A full cache disk must not fail the write path: the cache is an
-			// optimization (every DEK is re-fetchable from the KDS) and the
-			// entry is already live in memory. Count the drop and keep
-			// serving; a later save retries once mutations continue.
-			metrics.Storage.CacheSavesDropped.Add(1)
+		if dropped {
 			return nil
 		}
 	}

@@ -52,6 +52,26 @@ func TestPutGetDelete(t *testing.T) {
 	}
 }
 
+// TestFullDiskDropsSave: a save refused with ErrNoSpace does not fail the
+// Put; the cache counts it as both a save error and a dropped save.
+func TestFullDiskDropsSave(t *testing.T) {
+	q := vfs.NewQuota(vfs.NewMem(), 0)
+	c, err := Open(q, "cache.bin", []byte("pw"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	q.SetLimit(1)
+	if err := c.Put("dek-1", mustDEK(t)); err != nil {
+		t.Fatalf("Put on a full disk: %v", err)
+	}
+	if c.SaveErrors() != 1 || c.SavesDropped() != 1 {
+		t.Fatalf("SaveErrors=%d SavesDropped=%d, want 1 and 1", c.SaveErrors(), c.SavesDropped())
+	}
+	if _, err := c.Get("dek-1"); err != nil {
+		t.Fatalf("entry not served from memory: %v", err)
+	}
+}
+
 func TestPersistsAcrossReopen(t *testing.T) {
 	fs := vfs.NewMem()
 	c, err := Open(fs, "cache.bin", []byte("pw"))

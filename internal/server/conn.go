@@ -62,16 +62,16 @@ func (s *Server) handle(conn net.Conn) {
 			batch = append(batch, next)
 		}
 
-		metrics.Serve.PipelineBatches.Add(1)
-		metrics.Serve.Commands.Add(int64(len(batch)))
+		s.pipelineBatches.Add(1)
+		s.commands.Add(int64(len(batch)))
 		if len(batch) > 1 {
-			metrics.Serve.PipelinedCmds.Add(int64(len(batch)))
+			s.pipelinedCmds.Add(int64(len(batch)))
 		}
 
 		quit := s.execute(batch, w)
 		conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout)) //nolint:errcheck
 		if err := w.Flush(); err != nil {
-			metrics.Serve.SlowClientDrops.Add(1)
+			s.slowClientDrops.Add(1)
 			s.cfg.Logger("server: %s: reply flush: %v", conn.RemoteAddr(), err)
 			return
 		}
@@ -94,14 +94,14 @@ func (s *Server) handle(conn net.Conn) {
 // ambiguous); timeouts and I/O errors just close.
 func (s *Server) replyReadError(conn net.Conn, w *resp.Writer, err error) bool {
 	if resp.IsProtocolError(err) {
-		metrics.Serve.ProtocolErrors.Add(1)
+		s.protocolErrors.Add(1)
 		conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout)) //nolint:errcheck
 		w.Error("ERR Protocol error: " + sanitize(err.Error()))   //nolint:errcheck
 		w.Flush()                                                 //nolint:errcheck
 		return resp.IsRecoverable(err)
 	}
 	if isTimeout(err) && !s.closed.Load() {
-		metrics.Serve.SlowClientDrops.Add(1)
+		s.slowClientDrops.Add(1)
 		s.cfg.Logger("server: %s: idle/slow client dropped", conn.RemoteAddr())
 	}
 	return false
@@ -259,7 +259,6 @@ func (s *Server) commitPending(pending map[int]*pendingBatch) {
 }
 
 func (s *Server) commitShard(shard int, pb *pendingBatch) {
-	metrics.Serve.WriteBatches.Add(1)
 	s.shardStats[shard].WriteBatches.Add(1)
 	pb.err = s.cfg.Shards[shard].Write(pb.b, s.sync)
 }
@@ -339,18 +338,22 @@ func writeValue(w *resp.Writer, v resp.Value) {
 // gap below ops_set+ops_del is the visible effect of group commit.
 func (s *Server) renderInfo() []byte {
 	var buf bytes.Buffer
-	sv := metrics.Serve.Snapshot()
+	shards := s.Stats()
+	var writeBatches int64
+	for _, snap := range shards {
+		writeBatches += snap.WriteBatches
+	}
 	fmt.Fprintf(&buf, "# server\r\n")
 	fmt.Fprintf(&buf, "shards:%d\r\n", len(s.cfg.Shards))
-	fmt.Fprintf(&buf, "connections_opened:%d\r\n", sv.ConnsOpened)
-	fmt.Fprintf(&buf, "connections_open:%d\r\n", sv.ConnsOpen)
-	fmt.Fprintf(&buf, "commands:%d\r\n", sv.Commands)
-	fmt.Fprintf(&buf, "pipeline_batches:%d\r\n", sv.PipelineBatches)
-	fmt.Fprintf(&buf, "pipelined_commands:%d\r\n", sv.PipelinedCmds)
-	fmt.Fprintf(&buf, "write_batches:%d\r\n", sv.WriteBatches)
-	fmt.Fprintf(&buf, "protocol_errors:%d\r\n", sv.ProtocolErrors)
-	fmt.Fprintf(&buf, "slow_client_drops:%d\r\n", sv.SlowClientDrops)
-	for i, snap := range s.Stats() {
+	fmt.Fprintf(&buf, "connections_opened:%d\r\n", s.connsOpened.Load())
+	fmt.Fprintf(&buf, "connections_open:%d\r\n", s.connsOpen.Load())
+	fmt.Fprintf(&buf, "commands:%d\r\n", s.commands.Load())
+	fmt.Fprintf(&buf, "pipeline_batches:%d\r\n", s.pipelineBatches.Load())
+	fmt.Fprintf(&buf, "pipelined_commands:%d\r\n", s.pipelinedCmds.Load())
+	fmt.Fprintf(&buf, "write_batches:%d\r\n", writeBatches)
+	fmt.Fprintf(&buf, "protocol_errors:%d\r\n", s.protocolErrors.Load())
+	fmt.Fprintf(&buf, "slow_client_drops:%d\r\n", s.slowClientDrops.Load())
+	for i, snap := range shards {
 		fmt.Fprintf(&buf, "# shard%d\r\n", i)
 		fmt.Fprintf(&buf, "ops_get:%d\r\n", snap.Gets)
 		fmt.Fprintf(&buf, "ops_set:%d\r\n", snap.Sets)

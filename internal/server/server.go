@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"shield/internal/lsm"
-	"shield/internal/metrics"
 )
 
 // Engine is the per-shard slice of the LSM engine the server drives.
@@ -130,6 +129,15 @@ type Server struct {
 	wg     sync.WaitGroup
 
 	shardStats []*ShardStats
+
+	// Server-wide serving counters, reported in INFO's # server section.
+	connsOpened     atomic.Int64 // connections accepted
+	connsOpen       atomic.Int64 // gauge: connections open right now
+	commands        atomic.Int64 // commands executed (all types)
+	pipelineBatches atomic.Int64 // reader cycles that executed >= 1 command
+	pipelinedCmds   atomic.Int64 // commands arriving in a batch of >= 2
+	protocolErrors  atomic.Int64 // -ERR replies to malformed frames
+	slowClientDrops atomic.Int64 // connections closed at a read/write deadline
 }
 
 // New builds a server over the given shards.
@@ -207,10 +215,10 @@ func (s *Server) Serve() error {
 			conn.Close() //nolint:errcheck // raced with shutdown
 			return nil
 		}
-		metrics.Serve.ConnsOpened.Add(1)
-		metrics.Serve.ConnsOpen.Add(1)
+		s.connsOpened.Add(1)
+		s.connsOpen.Add(1)
 		go func() {
-			defer metrics.Serve.ConnsOpen.Add(-1)
+			defer s.connsOpen.Add(-1)
 			defer s.untrack(conn)
 			s.handle(conn)
 		}()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -368,5 +369,86 @@ func TestSlowClientDropped(t *testing.T) {
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	if _, err := io.ReadAll(conn); err != nil {
 		t.Fatalf("expected server to close the slow connection, got %v", err)
+	}
+}
+
+// infoServer returns the counters of the # server section of addr's INFO
+// reply. The query itself costs the server one connection, one command and
+// one pipeline batch.
+func infoServer(t *testing.T, addr string) map[string]int64 {
+	t.Helper()
+	cl, err := resp.Dial(addr, 5*time.Second)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer cl.Close()
+	v, err := cl.Do("INFO")
+	if err != nil {
+		t.Fatalf("INFO: %v", err)
+	}
+	section, _, _ := strings.Cut(string(v.Str), "# shard0")
+	out := make(map[string]int64)
+	for _, line := range strings.Split(section, "\r\n") {
+		if k, val, ok := strings.Cut(line, ":"); ok {
+			if n, err := strconv.ParseInt(val, 10, 64); err == nil {
+				out[k] = n
+			}
+		}
+	}
+	return out
+}
+
+// TestServerCountersPerInstance runs two servers in one process and sends
+// all traffic to A: a pipelined burst with writes, a malformed frame, and a
+// client that stalls past the idle deadline. A's # server counters move;
+// B's show nothing but the INFO query that reads them.
+func TestServerCountersPerInstance(t *testing.T) {
+	cfg := server.Config{IdleTimeout: 200 * time.Millisecond}
+	_, addrA := newTestServer(t, 2, cfg)
+	_, addrB := newTestServer(t, 2, cfg)
+
+	conn, err := net.DialTimeout("tcp", addrA, 5*time.Second)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	if _, err := conn.Write([]byte("SET a 1\r\nSET b 2\r\nGET a\r\n*abc\r\n")); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	r := resp.NewReader(conn)
+	for i := 0; i < 4; i++ {
+		if _, err := r.ReadReply(); err != nil {
+			t.Fatalf("reply %d: %v", i, err)
+		}
+	}
+	conn.Close()
+
+	slow, err := net.DialTimeout("tcp", addrA, 5*time.Second)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer slow.Close()
+	if _, err := slow.Write([]byte("*2\r\n$3\r\nGET\r\n")); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	slow.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := io.ReadAll(slow); err != nil {
+		t.Fatalf("expected server A to drop the slow client, got %v", err)
+	}
+
+	a := infoServer(t, addrA)
+	if a["connections_opened"] < 3 || a["commands"] < 4 || a["write_batches"] < 1 ||
+		a["protocol_errors"] != 1 || a["slow_client_drops"] != 1 {
+		t.Errorf("A's counters did not record its traffic: %v", a)
+	}
+	want := map[string]int64{
+		"shards": 2, "connections_opened": 1, "connections_open": 1, "commands": 1,
+		"pipeline_batches": 1, "pipelined_commands": 0, "write_batches": 0,
+		"protocol_errors": 0, "slow_client_drops": 0,
+	}
+	b := infoServer(t, addrB)
+	for k, n := range want {
+		if b[k] != n {
+			t.Errorf("B's %s = %d, want %d (A's traffic leaked in?): %v", k, b[k], n, b)
+		}
 	}
 }

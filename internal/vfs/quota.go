@@ -4,8 +4,7 @@ import (
 	"fmt"
 	"path"
 	"sync"
-
-	"shield/internal/metrics"
+	"sync/atomic"
 )
 
 // QuotaFS wraps an FS and enforces a byte budget on file data, modeling a
@@ -24,6 +23,8 @@ type QuotaFS struct {
 	limit int64 // <= 0 means unlimited
 	used  int64
 	sizes map[string]int64 // bytes charged per file
+
+	noSpace atomic.Int64 // writes refused with ErrNoSpace
 }
 
 // NewQuota wraps base with a byte budget. limit <= 0 means unlimited.
@@ -53,6 +54,9 @@ func (q *QuotaFS) Used() int64 {
 	defer q.mu.Unlock()
 	return q.used
 }
+
+// NoSpaceErrors reports how many writes this QuotaFS refused with ErrNoSpace.
+func (q *QuotaFS) NoSpaceErrors() int64 { return q.noSpace.Load() }
 
 // ChargeDir charges every existing file under dir against the budget. A
 // QuotaFS starts empty, so a wrapper created over a directory that already
@@ -117,7 +121,7 @@ func (q *QuotaFS) noSpaceErr() error {
 	q.mu.Lock()
 	limit, used := q.limit, q.used
 	q.mu.Unlock()
-	metrics.Storage.NoSpaceErrors.Add(1)
+	q.noSpace.Add(1)
 	return fmt.Errorf("%w: quota %d bytes exhausted (used %d)", ErrNoSpace, limit, used)
 }
 

@@ -87,6 +87,9 @@ func TestQuotaSetLimitRecovers(t *testing.T) {
 	if err := WriteFile(q, "b", []byte("x")); !errors.Is(err, ErrNoSpace) {
 		t.Fatalf("want ErrNoSpace, got %v", err)
 	}
+	if n := q.NoSpaceErrors(); n != 1 {
+		t.Fatalf("NoSpaceErrors: want 1, got %d", n)
+	}
 	q.SetLimit(0) // unlimited
 	if err := WriteFile(q, "b", []byte("x")); err != nil {
 		t.Fatalf("write after raise: %v", err)
